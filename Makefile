@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint racecheck chaos bench emit-bench recovery fuzz tenants survey soak hotbench verify
+.PHONY: build test vet lint racecheck chaos bench emit-bench recovery fuzz tenants survey soak hotbench benchmod verify
 
 build:
 	$(GO) build ./...
@@ -105,14 +105,21 @@ racecheck:
 	$(MAKE) soak SOAK_WORKFLOWS=600
 	$(MAKE) survey
 
+# The benchmark harness (bash perfbench/run.sh, declared in BENCHMARK.json)
+# is its own Go module, so the root build and test never compile it; vet and
+# test it here against the current webservice API.
+benchmod:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
+
 # Full verification gate: vet, build, the nvolint invariants (with the
 # latency budget and stale-suppression report), the race-enabled suite,
 # the race campaigns (chaos, tenants, soak at gate scale, survey — `make
 # soak` runs the full fleet), journal-replay idempotence, the hot-path
-# allocation gate, and the codec fuzz smoke.
+# allocation gate, the codec fuzz smoke, and the benchmark module.
 verify: vet build lint
 	$(GO) test -race ./...
 	$(MAKE) racecheck
 	$(MAKE) recovery
 	$(MAKE) hotbench
 	$(MAKE) fuzz
+	$(MAKE) benchmod

@@ -4,11 +4,37 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/tableops"
 	"repro/internal/votable"
 )
+
+// resultCells renders one result as its output-table row (the allocating
+// form of resultCellsInto).
+func resultCells(r GalMorphResult) []string {
+	row := make([]string, len(ResultFields))
+	resultCellsInto(row, r)
+	return row
+}
+
+// resultsToVOTable is the in-memory concat oracle: the whole output table,
+// sorted by galaxy ID, built as one votable.Table. The streamed concat path
+// must write exactly what WriteTable writes for it.
+func resultsToVOTable(cluster string, results []GalMorphResult) *votable.Table {
+	sort.Slice(results, func(i, j int) bool { return results[i].ID < results[j].ID })
+	meta := resultsMeta(cluster, len(results))
+	t := votable.NewTable(meta.Name, meta.Fields...)
+	t.Description = meta.Description
+	for _, p := range meta.Params {
+		t.SetParam(p)
+	}
+	for _, r := range results {
+		_ = t.AppendRow(resultCells(r)...)
+	}
+	return t
+}
 
 // TestStreamedConcatByteIdentical pins the spill-to-disk concat path
 // against the in-memory resultsToVOTable+WriteTable path, with enough rows

@@ -1,7 +1,6 @@
 package webservice
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"strings"
@@ -13,7 +12,6 @@ import (
 	"repro/internal/resilience"
 	"repro/internal/rls"
 	"repro/internal/vdl"
-	"repro/internal/votable"
 )
 
 // errNoRecovery marks a corrupted replica with neither a healthy alternate
@@ -151,32 +149,16 @@ func (s *Service) rederiveGalMorph(cat *vdl.Catalog, dv *vdl.Derivation, stats *
 	return encodeResult(*res), nil
 }
 
-// rederiveConcat re-assembles the output VOTable from the per-galaxy results.
+// rederiveConcat re-assembles the output VOTable from the per-galaxy results
+// through the concatVOT job's own concat body.
 func (s *Service) rederiveConcat(cat *vdl.Catalog, dv *vdl.Derivation, stats *RunStats, mu *sync.Mutex) ([]byte, error) {
 	outputs := dv.OutputLFNs()
 	if len(outputs) != 1 {
 		return nil, fmt.Errorf("webservice: rederive %s: want 1 output", dv.Name)
 	}
-	cluster := strings.TrimSuffix(outputs[0], ".vot")
-	inputs := dv.InputLFNs()
-	results := make([]GalMorphResult, 0, len(inputs))
-	for _, lfn := range inputs {
-		data, err := s.inputBytes(cat, lfn, stats, mu)
-		if err != nil {
-			return nil, err
-		}
-		r, err := decodeResult(data)
-		if err != nil {
-			return nil, err
-		}
-		results = append(results, r)
-	}
-	tab := resultsToVOTable(cluster, results)
-	var buf bytes.Buffer
-	if err := votable.WriteTable(&buf, tab); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return concatResults(strings.TrimSuffix(outputs[0], ".vot"), dv.InputLFNs(), func(lfn string) ([]byte, error) {
+		return s.inputBytes(cat, lfn, stats, mu)
+	})
 }
 
 // measureGalaxy runs the deterministic morphology measurement on raw image

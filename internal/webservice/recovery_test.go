@@ -136,6 +136,9 @@ func TestKillAndResumeByteIdentity(t *testing.T) {
 		if out != "COMA.vot" {
 			t.Fatalf("kill point %d: resume output %q", k, out)
 		}
+		if stats.Galaxies != nGalaxies {
+			t.Errorf("kill point %d: resumed stats count %d galaxies, want %d", k, stats.Galaxies, nGalaxies)
+		}
 		if stats.RestoredNodes != len(doneAtCrash) {
 			t.Errorf("kill point %d: restored %d nodes, journal recorded %d done",
 				k, stats.RestoredNodes, len(doneAtCrash))
@@ -339,13 +342,67 @@ func TestCorruptIntermediateRederivedFromProvenance(t *testing.T) {
 	}
 }
 
+// hookSink forwards every record to sink, then calls after with it.
+type hookSink struct {
+	sink  journal.Sink
+	after func(journal.Record)
+}
+
+func (hs hookSink) Append(rec journal.Record) error {
+	if err := hs.sink.Append(rec); err != nil {
+		return err
+	}
+	hs.after(rec)
+	return nil
+}
+
+// TestCorruptOutputRederivedThroughConcat damages the output table at the
+// collector's site the moment the concatVOT job completes, before its
+// stage-out transfer reads it. With no other replica registered yet, the
+// transfer must re-derive the table from provenance through the concat
+// body — and the re-derived bytes must equal the uninterrupted run's.
+func TestCorruptOutputRederivedThroughConcat(t *testing.T) {
+	want, _, _ := journaledRun(t, 4, 1)
+
+	var h *harness
+	corrupted := 0
+	h = newHarness(t, 4, func(c *Config) {
+		c.JournalDir = t.TempDir()
+		c.WrapJournal = func(_, _ string, sink journal.Sink) journal.Sink {
+			return hookSink{sink: sink, after: func(rec journal.Record) {
+				if rec.Kind != journal.KindCompleted || rec.Node != "collect-COMA" {
+					return
+				}
+				for _, site := range h.svc.Pools() {
+					if h.ftp.Store(site).Corrupt("COMA.vot") {
+						corrupted++
+					}
+				}
+			}}
+		}
+	})
+	_, stats, err := h.svc.Compute(h.inputTable(t), "COMA")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if corrupted != 1 {
+		t.Fatalf("corrupted %d copies of COMA.vot at concat completion, want 1", corrupted)
+	}
+	if stats.Rederived < 1 {
+		t.Errorf("corrupted output was not re-derived: %+v", stats)
+	}
+	if got := h.outputBytes(t, "COMA.vot"); string(got) != string(want) {
+		t.Error("re-derived output table differs from the uninterrupted run")
+	}
+}
+
 func TestComputeWithContextCanceledBeforeStart(t *testing.T) {
 	dir := t.TempDir()
 	h := newHarness(t, 3, func(c *Config) { c.JournalDir = dir })
 	tab := h.inputTable(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, _, err := h.svc.ComputeWithContext(ctx, tab, "COMA", nil)
+	_, _, err := h.svc.ComputeFor(ctx, tab, "COMA", RequestOptions{}, nil)
 	if !errors.Is(err, dagman.ErrAborted) || !errors.Is(err, context.Canceled) {
 		t.Fatalf("canceled compute = %v, want abort wrapping context.Canceled", err)
 	}

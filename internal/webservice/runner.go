@@ -254,7 +254,8 @@ type memoEntry struct {
 
 // streamResultsTable drains a spool of result rows (keyed on the galaxy ID
 // cell) into w as the cluster's output VOTable document — byte-identical to
-// WriteTable over resultsToVOTable, without ever holding the rows in one
+// WriteTable over the whole sorted table (the resultsToVOTable oracle of
+// TestStreamedConcatByteIdentical), without ever holding the rows in one
 // table.
 func streamResultsTable(w io.Writer, cluster string, sp *tableops.Spool) error {
 	enc := votable.NewEncoder(w)
@@ -399,11 +400,7 @@ func (s *Service) galMorphSpec(n *dag.Node, cat *vdl.Catalog, rng *rand.Rand, st
 
 // concatSpec assembles the per-galaxy results into the output VOTable. Every
 // input is integrity-verified before it is trusted; a corrupted result file
-// is quarantined and re-derived from its galaxy image via provenance. The
-// rows are sorted through a spill-to-disk spool and streamed into the
-// encoder, so sorting memory stays bounded no matter how many galaxies the
-// cluster holds; the bytes written are identical to the historical
-// resultsToVOTable+WriteTable path.
+// is quarantined and re-derived from its galaxy image via provenance.
 func (s *Service) concatSpec(n *dag.Node, cat *vdl.Catalog, stats *RunStats, mu *sync.Mutex) dagman.Spec {
 	site := n.Attr(pegasus.AttrSite)
 	inputs := chimera.SplitLFNs(n.Attr(chimera.AttrInputs))
@@ -413,44 +410,60 @@ func (s *Service) concatSpec(n *dag.Node, cat *vdl.Catalog, stats *RunStats, mu 
 
 	return dagman.Spec{
 		Cost: concatBaseCost + time.Duration(len(inputs))*concatPerRow,
-		Run: func() (retErr error) {
+		Run: func() error {
 			if len(outputs) != 1 {
 				return fmt.Errorf("webservice: concat expects 1 output, got %v", outputs)
 			}
 			store := s.cfg.GridFTP.Store(site)
-			// The arena must outlive the spool's rows: Put is deferred first
-			// so it runs after the spool Close below (deferred calls run in
-			// LIFO order).
-			ar := arena.Get()
-			defer arena.Put(ar)
-			sp := tableops.NewSpoolIn(ar, 0, 0) // key on the galaxy ID cell
-			defer func() {
-				if cerr := sp.Close(); cerr != nil && retErr == nil {
-					retErr = cerr
-				}
-			}()
-			// One reused cell buffer feeds every Add; the spool copies rows
-			// into arena-backed storage, recycling spilled rows' slots.
-			row := ar.Strings(len(ResultFields))
-			for _, lfn := range inputs {
-				data, err := s.verifiedGet(cat, store, lfn, stats, mu)
-				if err != nil {
-					return err
-				}
-				r, err := decodeResult(data)
-				if err != nil {
-					return err
-				}
-				resultCellsInto(row, r)
-				if err := sp.Add(row...); err != nil {
-					return err
-				}
-			}
-			var buf bytes.Buffer
-			if err := streamResultsTable(&buf, cluster, sp); err != nil {
+			data, err := concatResults(cluster, inputs, func(lfn string) ([]byte, error) {
+				return s.verifiedGet(cat, store, lfn, stats, mu)
+			})
+			if err != nil {
 				return err
 			}
-			return store.Put(outputs[0], buf.Bytes())
+			return store.Put(outputs[0], data)
 		},
 	}
+}
+
+// concatResults is the one concat body: it reads every per-galaxy result
+// file through get, renders each into a row, sorts the rows through a
+// spill-to-disk spool and streams them into the cluster's output VOTable, so
+// sorting memory stays bounded no matter how many galaxies the cluster
+// holds. The concatVOT job and its provenance re-derivation both call it —
+// with their own byte sources — so re-derived bytes come from the same code
+// as the original.
+func concatResults(cluster string, inputs []string, get func(lfn string) ([]byte, error)) (_ []byte, retErr error) {
+	// The arena must outlive the spool's rows: Put is deferred first so it
+	// runs after the spool Close below (deferred calls run in LIFO order).
+	ar := arena.Get()
+	defer arena.Put(ar)
+	sp := tableops.NewSpoolIn(ar, 0, 0) // key on the galaxy ID cell
+	defer func() {
+		if cerr := sp.Close(); cerr != nil && retErr == nil {
+			retErr = cerr
+		}
+	}()
+	// One reused cell buffer feeds every Add; the spool copies rows into
+	// arena-backed storage, recycling spilled rows' slots.
+	row := ar.Strings(len(ResultFields))
+	for _, lfn := range inputs {
+		data, err := get(lfn)
+		if err != nil {
+			return nil, err
+		}
+		r, err := decodeResult(data)
+		if err != nil {
+			return nil, err
+		}
+		resultCellsInto(row, r)
+		if err := sp.Add(row...); err != nil {
+			return nil, err
+		}
+	}
+	var buf bytes.Buffer
+	if err := streamResultsTable(&buf, cluster, sp); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
 }

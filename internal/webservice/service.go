@@ -30,9 +30,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
-	"math/rand"
 	"net/http"
-	"os"
 	"path/filepath"
 	"sort"
 	"strconv"
@@ -40,9 +38,7 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/chimera"
 	"repro/internal/condor"
-	"repro/internal/dagman"
 	"repro/internal/fabric"
 	"repro/internal/faults"
 	"repro/internal/fits"
@@ -468,49 +464,54 @@ func (s *Service) SubmitFor(tab *votable.Table, cluster string, opt RequestOptio
 	s.cancels[id] = cancel
 	s.mu.Unlock()
 
-	go func() {
-		lease, werr := ticket.Wait(ctx)
-		if werr != nil {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			delete(s.cancels, id)
-			cancel()
-			st.State = StateFailed
-			st.Message = "canceled while queued: " + werr.Error()
-			return
-		}
-		s.mu.Lock()
-		if st.State == StateQueued {
-			st.State = StateRunning
-			st.Message = "running"
-		}
-		s.mu.Unlock()
-		onProgress := func(done, total int) {
-			s.mu.Lock()
-			st.JobsDone = done
-			st.JobsTotal = total
-			s.mu.Unlock()
-		}
-		out, stats, err := s.preemptible(ctx, lease, cluster, opt, onProgress,
-			s.publishState(st),
-			func(l *fabric.Lease) (string, RunStats, error) {
-				return s.computeGranted(ctx, l, tab, cluster, opt, onProgress)
-			})
+	go s.background(ctx, cancel, st, ticket, opt, "queued", "running", s.prepareFresh(tab))
+	return id, nil
+}
+
+// background is the body of a request Submit or Requeue put on the fabric:
+// it waits for the fair-share grant (a cancel while waiting fails the
+// request with a "canceled while <phase>" message), runs the workflow under
+// the preemption protocol while mirroring its state flips and progress onto
+// st, and publishes the final status. running is the message a granted
+// request shows while its first leg runs.
+func (s *Service) background(ctx context.Context, cancel context.CancelFunc, st *Status,
+	ticket *fabric.Ticket, opt RequestOptions, phase, running string, first preparer) {
+	lease, werr := ticket.Wait(ctx)
+	if werr != nil {
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		delete(s.cancels, id)
+		delete(s.cancels, st.ID)
 		cancel()
-		st.Stats = stats
-		if err != nil {
-			st.State = StateFailed
-			st.Message = err.Error()
-			return
-		}
-		st.State = StateCompleted
-		st.Message = "job completed"
-		st.ResultLFN = out
-	}()
-	return id, nil
+		st.State = StateFailed
+		st.Message = "canceled while " + phase + ": " + werr.Error()
+		return
+	}
+	s.mu.Lock()
+	if st.State == StateQueued {
+		st.State = StateRunning
+		st.Message = running
+	}
+	s.mu.Unlock()
+	onProgress := func(done, total int) {
+		s.mu.Lock()
+		st.JobsDone = done
+		st.JobsTotal = total
+		s.mu.Unlock()
+	}
+	out, stats, err := s.preemptible(ctx, lease, st.Cluster, opt, onProgress, s.publishState(st), first)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	delete(s.cancels, st.ID)
+	cancel()
+	st.Stats = stats
+	if err != nil {
+		st.State = StateFailed
+		st.Message = err.Error()
+		return
+	}
+	st.State = StateCompleted
+	st.Message = "job completed"
+	st.ResultLFN = out
 }
 
 // publishState mirrors a preemption cycle's state flips onto a request's
@@ -592,51 +593,9 @@ func (s *Service) Requeue(id string) error {
 		st.Message = "requeued: resuming from journal"
 	}
 	s.cancels[id] = cancel
-	cluster := st.Cluster
 	s.mu.Unlock()
 
-	go func() {
-		lease, werr := ticket.Wait(ctx)
-		if werr != nil {
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			delete(s.cancels, id)
-			cancel()
-			st.State = StateFailed
-			st.Message = "canceled while requeued: " + werr.Error()
-			return
-		}
-		s.mu.Lock()
-		if st.State == StateQueued {
-			st.State = StateRunning
-			st.Message = "requeued: resuming from journal"
-		}
-		s.mu.Unlock()
-		onProgress := func(done, total int) {
-			s.mu.Lock()
-			st.JobsDone = done
-			st.JobsTotal = total
-			s.mu.Unlock()
-		}
-		out, stats, err := s.preemptible(ctx, lease, cluster, opt, onProgress,
-			s.publishState(st),
-			func(l *fabric.Lease) (string, RunStats, error) {
-				return s.resumeGranted(ctx, l, cluster, opt, onProgress)
-			})
-		s.mu.Lock()
-		defer s.mu.Unlock()
-		delete(s.cancels, id)
-		cancel()
-		st.Stats = stats
-		if err != nil {
-			st.State = StateFailed
-			st.Message = err.Error()
-			return
-		}
-		st.State = StateCompleted
-		st.Message = "job completed"
-		st.ResultLFN = out
-	}()
+	go s.background(ctx, cancel, st, ticket, opt, "requeued", "requeued: resuming from journal", s.prepareResume)
 	return nil
 }
 
@@ -693,14 +652,7 @@ func (s *Service) requestSeed(cluster string) int64 {
 // Compute runs the full §4.3 pipeline synchronously and returns the output
 // LFN. The portal normally reaches it through Submit/Status polling.
 func (s *Service) Compute(tab *votable.Table, cluster string) (string, RunStats, error) {
-	return s.ComputeWithProgress(tab, cluster, nil)
-}
-
-// ComputeWithProgress is Compute with a workflow-progress callback
-// (done/total concrete nodes), fed from DAGMan's monitoring events.
-func (s *Service) ComputeWithProgress(tab *votable.Table, cluster string,
-	onProgress func(done, total int)) (string, RunStats, error) {
-	return s.ComputeWithContext(context.Background(), tab, cluster, onProgress)
+	return s.ComputeFor(context.Background(), tab, cluster, RequestOptions{}, nil)
 }
 
 // wfScope names one workflow for journal-record stamping: the scope every
@@ -743,53 +695,52 @@ func (s *Service) wavesPath(tenant, cluster string) string {
 	return filepath.Join(s.cfg.JournalDir, wfBase(tenant, cluster)+".waves")
 }
 
-// ComputeWithContext is ComputeWithProgress under a cancellation context:
-// when ctx is canceled the workflow aborts at the next scheduler step,
-// journaling a clean "aborted" record so a later Resume picks up exactly
-// where the run stopped.
-func (s *Service) ComputeWithContext(ctx context.Context, tab *votable.Table, cluster string,
-	onProgress func(done, total int)) (string, RunStats, error) {
-	return s.ComputeFor(ctx, tab, cluster, RequestOptions{}, onProgress)
-}
-
-// ComputeFor is ComputeWithContext on behalf of a tenant: the workflow is
-// admitted to the fabric (an over-quota admission returns the
+// ComputeFor runs the full §4.3 pipeline on behalf of a tenant, under a
+// cancellation context and an optional workflow-progress callback
+// (done/total concrete nodes, fed from DAGMan's monitoring events). The
+// workflow is admitted to the fabric (an over-quota admission returns the
 // fabric.ShedError without queueing), waits under ctx for its fair-share
 // slot, and executes under the granted lease. Canceling ctx while queued
-// dequeues the workflow before it runs.
+// dequeues the workflow before it runs; canceling it mid-run aborts the
+// workflow at the next scheduler step, journaling a clean "aborted" record
+// so a later Resume picks up exactly where the run stopped.
 func (s *Service) ComputeFor(ctx context.Context, tab *votable.Table, cluster string,
 	opt RequestOptions, onProgress func(done, total int)) (string, RunStats, error) {
-	var stats RunStats
 	if err := validateInput(tab); err != nil {
-		return "", stats, err
+		return "", RunStats{}, err
 	}
+	return s.admitAndRun(ctx, cluster, opt, onProgress, s.prepareFresh(tab))
+}
+
+// admitAndRun is the synchronous request path: admit the workflow to the
+// fabric, wait under ctx for its slot, and run it under the preemption
+// protocol, first leg prepared by first.
+func (s *Service) admitAndRun(ctx context.Context, cluster string, opt RequestOptions,
+	onProgress func(done, total int), first preparer) (string, RunStats, error) {
 	ticket, err := s.cfg.Fabric.Admit(opt.tenant(), opt.Priority)
 	if err != nil {
-		return "", stats, err
+		return "", RunStats{}, err
 	}
 	lease, err := ticket.Wait(ctx)
 	if err != nil {
-		return "", stats, fmt.Errorf("webservice: canceled while queued: %w", err)
+		return "", RunStats{}, fmt.Errorf("webservice: canceled while queued: %w", err)
 	}
-	return s.preemptible(ctx, lease, cluster, opt, onProgress, nil,
-		func(l *fabric.Lease) (string, RunStats, error) {
-			return s.computeGranted(ctx, l, tab, cluster, opt, onProgress)
-		})
+	return s.preemptible(ctx, lease, cluster, opt, onProgress, nil, first)
 }
 
-// preemptible runs one workflow leg (first) under the fabric's preemption
-// protocol: when the scheduler revokes the lease mid-run the leg
-// checkpoint-stops at the next journal event boundary (ErrPreempted); the
-// loop answers with lease.Preempted — releasing the slot, charging the
-// partial model time, and re-entering the queue at the original priority
-// class — waits for a fresh grant, and resumes from the scoped journal.
-// It repeats until the workflow finishes, fails for a real reason, or is
-// canceled while requeued. onState (optional) observes the
-// preempted/running flips of each cycle.
+// preemptible runs a workflow's legs under the fabric's preemption
+// protocol: the first leg is prepared by first; when the scheduler revokes
+// the lease mid-run the leg checkpoint-stops at the next journal event
+// boundary (ErrPreempted), and the loop answers with lease.Preempted —
+// releasing the slot, charging the partial model time, and re-entering the
+// queue at the original priority class — waits for a fresh grant, and runs
+// a leg resumed from the scoped journal. It repeats until the workflow
+// finishes, fails for a real reason, or is canceled while requeued. onState
+// (optional) observes the preempted/running flips of each cycle.
 func (s *Service) preemptible(ctx context.Context, lease *fabric.Lease, cluster string,
 	opt RequestOptions, onProgress func(done, total int), onState func(State),
-	first func(*fabric.Lease) (string, RunStats, error)) (string, RunStats, error) {
-	out, stats, err := first(lease)
+	first preparer) (string, RunStats, error) {
+	out, stats, err := s.runLeg(ctx, lease, cluster, opt, onProgress, first)
 	preemptions := 0
 	for errors.Is(err, ErrPreempted) {
 		ticket := lease.Preempted(stats.Makespan)
@@ -809,7 +760,7 @@ func (s *Service) preemptible(ctx context.Context, lease *fabric.Lease, cluster 
 		if onState != nil {
 			onState(StateRunning)
 		}
-		out, stats, err = s.resumeGranted(ctx, lease, cluster, opt, onProgress)
+		out, stats, err = s.runLeg(ctx, lease, cluster, opt, onProgress, s.prepareResume)
 	}
 	stats.Preemptions = preemptions
 	return out, stats, err
@@ -830,202 +781,6 @@ func abortCheck(ctx context.Context, lease *fabric.Lease) func() error {
 	}
 }
 
-// computeGranted runs the full §4.3 pipeline under a granted fabric lease.
-// However it exits, the lease is released and the workflow's model-time
-// makespan is charged to the tenant's fair-share account.
-func (s *Service) computeGranted(ctx context.Context, lease *fabric.Lease, tab *votable.Table,
-	cluster string, opt RequestOptions, onProgress func(done, total int)) (_ string, _ RunStats, retErr error) {
-	var stats RunStats
-	// A preempted leg does not release the lease here: the caller answers
-	// the revocation with lease.Preempted, which requeues the workflow.
-	defer func() {
-		if !errors.Is(retErr, ErrPreempted) {
-			lease.Done(stats.Makespan, retErr != nil)
-		}
-	}()
-	// Only a journaled workflow can checkpoint-stop, so only those opt
-	// into scheduler revocation.
-	if s.cfg.JournalDir != "" {
-		lease.SetPreemptible(true)
-	}
-	tenant := opt.tenant()
-	if s.cfg.Proxy != nil {
-		proxy, err := s.cfg.Proxy()
-		if err != nil {
-			return "", stats, fmt.Errorf("webservice: credential retrieval: %w", err)
-		}
-		if !proxy.Valid(s.cfg.Now()) {
-			return "", stats, errors.New("webservice: Grid proxy expired; delegate a fresh credential")
-		}
-	}
-	stats.Galaxies = tab.NumRows()
-	outLFN := outputLFN(cluster)
-
-	// Step 2: output already materialized? Serve it straight from the RLS.
-	if s.cfg.RLS.Exists(outLFN) {
-		stats.ReusedOutput = true
-		return outLFN, stats, nil
-	}
-
-	// Survey-scale mode: stage, plan and execute in bounded waves.
-	if s.cfg.WaveSize > 0 {
-		out, err := s.computeWaves(ctx, lease, tab, cluster, tenant, &stats, onProgress)
-		return out, stats, err
-	}
-
-	// Step 3: stage galaxy images into the local cache.
-	if err := s.cacheImages(tab, &stats); err != nil {
-		return "", stats, err
-	}
-
-	// Step 4: VOTable -> VDL (rendered to text and re-parsed, the analog of
-	// the XSLT stylesheet producing a derivation file).
-	vdlText, err := buildVDL(tab, cluster)
-	if err != nil {
-		return "", stats, err
-	}
-	cat, err := vdl.Parse(vdlText)
-	if err != nil {
-		return "", stats, fmt.Errorf("webservice: generated VDL invalid: %w", err)
-	}
-
-	// Step 5: Chimera composes the abstract workflow for the output table.
-	wf, err := chimera.Compose(cat, chimera.Request{LFNs: []string{outLFN}})
-	if err != nil {
-		return "", stats, err
-	}
-
-	// Step 6: Pegasus plans... The per-request seed derives from the
-	// cluster name (not a shared stream), so concurrent requests stay
-	// individually deterministic.
-	seed := s.requestSeed(cluster)
-	pcfg := s.planConfig()
-	pcfg.Rand = rand.New(rand.NewSource(seed))
-	plan, err := pegasus.Map(wf, pcfg)
-	if err != nil {
-		return "", stats, err
-	}
-	// The plan's replica snapshot seeds the read-through cache, so runner-side
-	// lookups (retry rotation, recovery) cost no extra RLS round trips.
-	s.replicas.Prime(plan.Replicas)
-	pstats := plan.Stats()
-	stats.ComputeJobs = pstats.ComputeJobs
-	stats.PrunedJobs = pstats.PrunedJobs
-	stats.TransferNodes = pstats.TransferNodes
-	stats.RegisterNodes = pstats.RegisterNodes
-	stats.RLSRoundTrips = plan.RLSRoundTrips
-	stats.PlannedBytesMoved = plan.EstBytesMoved
-
-	// ... and DAGMan executes on the Condor pools, resubmitting the rescue
-	// DAG when configured. runMu serializes what the Run side effects share
-	// — the per-request stats and the failure-injection rng — because with
-	// Workers > 1 those bodies execute concurrently on the worker pool.
-	var runMu sync.Mutex
-	runner := s.runner(cat, rand.New(rand.NewSource(seed+1)), &stats, &runMu,
-		newRunLabels(tenant, cluster))
-	opts := dagman.Options{
-		MaxRetries:    s.cfg.MaxRetries,
-		ClusterSize:   s.cfg.ClusterSize,
-		MaxInFlightFn: lease.JobAllowance,
-		Check:         abortCheck(ctx, lease),
-	}
-	if s.cfg.RetryPolicy != nil {
-		opts.RetryPolicy = s.cfg.RetryPolicy.DAGManPolicy()
-	}
-
-	// Crash safety: persist the concrete plan and the VDL it came from (so
-	// Resume reloads the exact graph without replanning — site selection is
-	// seeded, and replanning against a healthier RLS would prune differently),
-	// then open the write-ahead journal DAGMan records every transition in.
-	var jw *journal.Writer
-	if s.cfg.JournalDir != "" {
-		if err := os.MkdirAll(s.cfg.JournalDir, 0o755); err != nil {
-			return "", stats, err
-		}
-		if err := os.WriteFile(s.vdlPath(tenant, cluster), []byte(vdlText), 0o644); err != nil {
-			return "", stats, err
-		}
-		if err := dagman.WriteDAGFile(s.dagPath(tenant, cluster), plan.Concrete, nil); err != nil {
-			return "", stats, err
-		}
-		jw, err = journal.CreateScoped(s.journalPath(tenant, cluster), wfScope(tenant, cluster))
-		if err != nil {
-			return "", stats, err
-		}
-		// A failed close means the final records may not have reached the
-		// disk — the journal is the crash-recovery contract, so that is a
-		// run failure, not a cleanup detail.
-		defer func() {
-			if errors.Is(retErr, ErrPreempted) {
-				// Best-effort checkpoint marker: DAGMan already journaled
-				// the abort, so replay is correct without it.
-				_ = jw.Append(journal.Record{Kind: journal.KindPreempted,
-					Detail: "lease revoked; checkpoint-stopped at event boundary"})
-			}
-			if cerr := jw.Close(); cerr != nil && retErr == nil {
-				retErr = fmt.Errorf("webservice: closing journal: %w", cerr)
-			}
-		}()
-		// The begin marker goes straight to the writer so a configured crash
-		// budget counts DAGMan events only.
-		if err := jw.Append(journal.Record{
-			Kind:   journal.KindBegin,
-			Detail: fmt.Sprintf("cluster=%s seed=%d nodes=%d", cluster, seed, plan.Concrete.Len()),
-		}); err != nil {
-			return "", stats, err
-		}
-		opts.Journal = journal.Sink(jw)
-		if s.cfg.CrashAfterEvents > 0 {
-			opts.Journal = &journal.CrashSink{Sink: jw, After: s.cfg.CrashAfterEvents}
-		}
-		if s.cfg.WrapJournal != nil {
-			opts.Journal = s.cfg.WrapJournal(tenant, cluster, opts.Journal)
-		}
-	}
-	total := plan.Concrete.Len()
-	done := 0
-	if onProgress != nil {
-		onProgress(0, total)
-	}
-	opts.Monitor = func(e dagman.Event) {
-		switch e.Kind {
-		case dagman.EventRetried:
-			stats.Retries++
-		case dagman.EventCompleted:
-			done++
-			if onProgress != nil {
-				onProgress(done, total)
-			}
-		}
-	}
-	rep, err := dagman.ExecuteWithRescue(plan.Concrete, runner,
-		s.simFactory(lease, tenant, cluster), opts, s.cfg.RescueRounds)
-	if err != nil {
-		return "", stats, err
-	}
-	stats.Makespan = rep.Makespan
-	stats.ScheduleEvents = rep.ScheduleEvents
-	stats.ClusteredTasks = rep.ClusteredTasks
-	stats.ClusteredNodes = rep.ClusteredNodes
-	if !rep.Succeeded() {
-		if jw != nil {
-			// Serialize the rescue DAG — the classic on-disk artifact naming
-			// exactly the nodes a resubmission must run.
-			if rerr := dagman.WriteRescueFile(s.rescuePath(tenant, cluster), plan.Concrete, rep); rerr != nil {
-				return "", stats, rerr
-			}
-		}
-		return "", stats, fmt.Errorf("webservice: workflow failed: %d failed, %d unrun", rep.Failed, rep.Unrun)
-	}
-	if !s.cfg.RLS.Exists(outLFN) {
-		return "", stats, fmt.Errorf("webservice: workflow completed but %q not registered", outLFN)
-	}
-	if err := jw.Append(journal.Record{Kind: journal.KindEnd, Detail: "output=" + outLFN}); err != nil {
-		return "", stats, err
-	}
-	return outLFN, stats, nil
-}
-
 // planConfig is the Pegasus configuration every plan of this service uses —
 // the classic whole-request Map and each wave of the survey-scale path draw
 // from the same substrate wiring (Rand is set per call site).
@@ -1042,161 +797,26 @@ func (s *Service) planConfig() pegasus.Config {
 }
 
 // Resume reopens a journaled run that died mid-flight — a killed web service,
-// a machine crash — and finishes it: the persisted concrete DAG is reloaded
-// (never replanned), the journal's intact prefix restores every completed
-// node, and only the unfinished remainder executes. The output VOTable is
+// a machine crash — and finishes it: the persisted plan is reloaded (never
+// replanned), the journal's intact prefix restores every completed node,
+// and only the unfinished remainder executes. The output VOTable is
 // byte-identical to what the uninterrupted run would have produced.
 func (s *Service) Resume(cluster string) (string, RunStats, error) {
-	return s.ResumeWithContext(context.Background(), cluster, nil)
+	return s.ResumeFor(context.Background(), cluster, RequestOptions{}, nil)
 }
 
-// ResumeWithContext is Resume under a cancellation context and an optional
-// progress callback (restored nodes count as already done).
-func (s *Service) ResumeWithContext(ctx context.Context, cluster string,
-	onProgress func(done, total int)) (string, RunStats, error) {
-	return s.ResumeFor(ctx, cluster, RequestOptions{}, onProgress)
-}
-
-// ResumeFor is ResumeWithContext on behalf of a tenant. A resumed
-// workflow consumes fabric capacity like a fresh one, so it passes
+// ResumeFor is Resume on behalf of a tenant, under a cancellation context
+// and an optional progress callback (restored nodes count as already done).
+// A resumed workflow consumes fabric capacity like a fresh one, so it passes
 // admission and fair-share scheduling first; its journal must carry the
 // resuming workflow's scope — resuming one tenant's journal as another
 // fails with journal.ErrScope instead of bleeding state across workflows.
 func (s *Service) ResumeFor(ctx context.Context, cluster string, opt RequestOptions,
 	onProgress func(done, total int)) (string, RunStats, error) {
-	var stats RunStats
 	if s.cfg.JournalDir == "" {
-		return "", stats, errors.New("webservice: resume requires JournalDir")
+		return "", RunStats{}, errors.New("webservice: resume requires JournalDir")
 	}
-	ticket, err := s.cfg.Fabric.Admit(opt.tenant(), opt.Priority)
-	if err != nil {
-		return "", stats, err
-	}
-	lease, err := ticket.Wait(ctx)
-	if err != nil {
-		return "", stats, fmt.Errorf("webservice: canceled while queued: %w", err)
-	}
-	return s.preemptible(ctx, lease, cluster, opt, onProgress, nil,
-		func(l *fabric.Lease) (string, RunStats, error) {
-			return s.resumeGranted(ctx, l, cluster, opt, onProgress)
-		})
-}
-
-func (s *Service) resumeGranted(ctx context.Context, lease *fabric.Lease, cluster string,
-	opt RequestOptions, onProgress func(done, total int)) (_ string, _ RunStats, retErr error) {
-	var stats RunStats
-	defer func() {
-		if !errors.Is(retErr, ErrPreempted) {
-			lease.Done(stats.Makespan, retErr != nil)
-		}
-	}()
-	lease.SetPreemptible(true) // a resumable run is by definition journaled
-	tenant := opt.tenant()
-	outLFN := outputLFN(cluster)
-
-	// A wave manifest marks a survey-scale run: resume it wave by wave (the
-	// classic .dag artifact is never written in that mode — a monolithic
-	// concrete graph is exactly what waves exist to avoid).
-	if _, err := os.Stat(s.wavesPath(tenant, cluster)); err == nil {
-		out, err := s.resumeWaves(ctx, lease, cluster, tenant, &stats, onProgress)
-		return out, stats, err
-	}
-
-	// Reload the exact planned graph and the catalog behind its derivations.
-	g, _, err := dagman.ReadDAGFile(s.dagPath(tenant, cluster))
-	if err != nil {
-		return "", stats, fmt.Errorf("webservice: resume %s: %w", cluster, err)
-	}
-	vdlText, err := os.ReadFile(s.vdlPath(tenant, cluster))
-	if err != nil {
-		return "", stats, fmt.Errorf("webservice: resume %s: %w", cluster, err)
-	}
-	cat, err := vdl.Parse(string(vdlText))
-	if err != nil {
-		return "", stats, fmt.Errorf("webservice: resume %s: saved VDL invalid: %w", cluster, err)
-	}
-
-	// Reopen the journal: its intact prefix is the authoritative history (a
-	// torn final line is the crash signature and is discarded by CRC check).
-	jw, recs, err := journal.OpenAppendScoped(s.journalPath(tenant, cluster), wfScope(tenant, cluster))
-	if err != nil {
-		return "", stats, fmt.Errorf("webservice: resume %s: %w", cluster, err)
-	}
-	defer func() {
-		if errors.Is(retErr, ErrPreempted) {
-			_ = jw.Append(journal.Record{Kind: journal.KindPreempted,
-				Detail: "lease revoked; checkpoint-stopped at event boundary"})
-		}
-		if cerr := jw.Close(); cerr != nil && retErr == nil {
-			retErr = fmt.Errorf("webservice: closing journal: %w", cerr)
-		}
-	}()
-	if _, ended := journal.Ended(recs); ended && s.cfg.RLS.Exists(outLFN) {
-		stats.ReusedOutput = true
-		return outLFN, stats, nil
-	}
-	done := journal.CompletedNodes(recs)
-
-	seed := s.requestSeed(cluster)
-	var runMu sync.Mutex
-	runner := s.runner(cat, rand.New(rand.NewSource(seed+1)), &stats, &runMu,
-		newRunLabels(tenant, cluster))
-	opts := dagman.Options{
-		MaxRetries:    s.cfg.MaxRetries,
-		ClusterSize:   s.cfg.ClusterSize,
-		MaxInFlightFn: lease.JobAllowance,
-		Completed:     done,
-		Check:         abortCheck(ctx, lease),
-		Journal:       journal.Sink(jw),
-	}
-	if s.cfg.CrashAfterEvents > 0 {
-		opts.Journal = &journal.CrashSink{Sink: jw, After: s.cfg.CrashAfterEvents}
-	}
-	if s.cfg.WrapJournal != nil {
-		opts.Journal = s.cfg.WrapJournal(tenant, cluster, opts.Journal)
-	}
-	if s.cfg.RetryPolicy != nil {
-		opts.RetryPolicy = s.cfg.RetryPolicy.DAGManPolicy()
-	}
-	total := g.Len()
-	progress := 0
-	if onProgress != nil {
-		onProgress(0, total)
-	}
-	opts.Monitor = func(e dagman.Event) {
-		switch e.Kind {
-		case dagman.EventRetried:
-			stats.Retries++
-		case dagman.EventCompleted, dagman.EventRestored:
-			progress++
-			if onProgress != nil {
-				onProgress(progress, total)
-			}
-		}
-	}
-	rep, err := dagman.ExecuteWithRescue(g, runner,
-		s.simFactory(lease, tenant, cluster), opts, s.cfg.RescueRounds)
-	if err != nil {
-		return "", stats, err
-	}
-	stats.Makespan = rep.Makespan
-	stats.RestoredNodes = rep.Restored
-	stats.ScheduleEvents = rep.ScheduleEvents
-	stats.ClusteredTasks = rep.ClusteredTasks
-	stats.ClusteredNodes = rep.ClusteredNodes
-	if !rep.Succeeded() {
-		if rerr := dagman.WriteRescueFile(s.rescuePath(tenant, cluster), g, rep); rerr != nil {
-			return "", stats, rerr
-		}
-		return "", stats, fmt.Errorf("webservice: resumed workflow failed: %d failed, %d unrun", rep.Failed, rep.Unrun)
-	}
-	if !s.cfg.RLS.Exists(outLFN) {
-		return "", stats, fmt.Errorf("webservice: workflow completed but %q not registered", outLFN)
-	}
-	if err := jw.Append(journal.Record{Kind: journal.KindEnd, Detail: "output=" + outLFN}); err != nil {
-		return "", stats, err
-	}
-	return outLFN, stats, nil
+	return s.admitAndRun(ctx, cluster, opt, onProgress, s.prepareResume)
 }
 
 // ResultTable fetches a completed result table from the cache store.
@@ -1545,9 +1165,9 @@ var ResultFields = []votable.Field{
 	{Name: "valid", Datatype: votable.TypeBoolean},
 }
 
-// resultsMeta is the metadata of the output table: both the in-memory
-// resultsToVOTable path and the streaming concat path build from it, so the
-// two cannot drift apart.
+// resultsMeta is the metadata of the output table: the streaming concat path
+// and its in-memory test oracle both build from it, so the two cannot drift
+// apart.
 func resultsMeta(cluster string, n int) votable.TableMeta {
 	return votable.TableMeta{
 		Name:        cluster + "_morphology",
@@ -1558,13 +1178,6 @@ func resultsMeta(cluster string, n int) votable.TableMeta {
 		},
 		Fields: ResultFields,
 	}
-}
-
-// resultCells renders one result as its output-table row.
-func resultCells(r GalMorphResult) []string {
-	row := make([]string, len(ResultFields))
-	resultCellsInto(row, r)
-	return row
 }
 
 // resultCellsInto fills a caller-owned row (len(ResultFields) cells) with
@@ -1582,21 +1195,6 @@ func resultCellsInto(row []string, r GalMorphResult) {
 	row[2] = votable.FormatFloat(r.Concentration)
 	row[3] = votable.FormatFloat(r.Asymmetry)
 	row[4] = valid
-}
-
-// resultsToVOTable assembles the output table, sorted by galaxy ID.
-func resultsToVOTable(cluster string, results []GalMorphResult) *votable.Table {
-	sort.Slice(results, func(i, j int) bool { return results[i].ID < results[j].ID })
-	meta := resultsMeta(cluster, len(results))
-	t := votable.NewTable(meta.Name, meta.Fields...)
-	t.Description = meta.Description
-	for _, p := range meta.Params {
-		t.SetParam(p)
-	}
-	for _, r := range results {
-		_ = t.AppendRow(resultCells(r)...)
-	}
-	return t
 }
 
 // morphConfigFromDV reconstructs the measurement configuration from a

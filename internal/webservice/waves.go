@@ -2,22 +2,13 @@ package webservice
 
 import (
 	"bufio"
-	"context"
-	"errors"
 	"fmt"
-	"math/rand"
 	"os"
 	"strconv"
 	"strings"
-	"sync"
 
 	"repro/internal/dag"
-	"repro/internal/dagman"
-	"repro/internal/fabric"
-	"repro/internal/journal"
 	"repro/internal/pegasus"
-	"repro/internal/vdl"
-	"repro/internal/votable"
 )
 
 // waveSourceFor mirrors buildVDL's derivation structure — one galMorph job
@@ -100,196 +91,17 @@ func readWaveManifest(path string) (int, []imageRef, error) {
 	return waveSize, refs, nil
 }
 
-// computeWaves is the survey-scale §4.3 pipeline: instead of staging every
-// image and planning one monolithic concrete DAG, the request is cut into
-// waves of Config.WaveSize galaxies. Each wave stages only its own images,
-// plans through the ordinary Pegasus pipeline, executes to completion, and is
-// discarded before the next wave is planned — peak image-staging and
-// planner/scheduler memory are bounded by the wave. The final wave runs the
-// concatenating job at a deterministic collector site the leaf waves
-// delivered their results to, producing output bytes identical to the
-// classic path.
-func (s *Service) computeWaves(ctx context.Context, lease *fabric.Lease, tab *votable.Table,
-	cluster, tenant string, stats *RunStats, onProgress func(done, total int)) (_ string, retErr error) {
-	// The VDL is still rendered and parsed whole, exactly as on the classic
-	// path: the runner reconstructs measurement configs from its derivations,
-	// the integrity layer re-derives damaged files from its provenance, and
-	// the persisted .vdl keeps resume artifacts identical across modes.
-	vdlText, err := buildVDL(tab, cluster)
-	if err != nil {
-		return "", err
-	}
-	cat, err := vdl.Parse(vdlText)
-	if err != nil {
-		return "", fmt.Errorf("webservice: generated VDL invalid: %w", err)
-	}
-
-	refs := imageRefsFromTable(tab)
-	seed := s.requestSeed(cluster)
-	planner, err := pegasus.NewWavePlanner(waveSourceFor(refs, cluster), s.planConfig(), s.cfg.WaveSize, seed)
-	if err != nil {
-		return "", err
-	}
-
-	opts := dagman.Options{
-		MaxRetries:    s.cfg.MaxRetries,
-		ClusterSize:   s.cfg.ClusterSize,
-		MaxInFlightFn: lease.JobAllowance,
-		Check:         abortCheck(ctx, lease),
-	}
-	if s.cfg.RetryPolicy != nil {
-		opts.RetryPolicy = s.cfg.RetryPolicy.DAGManPolicy()
-	}
-
-	var jw *journal.Writer
-	if s.cfg.JournalDir != "" {
-		if err := os.MkdirAll(s.cfg.JournalDir, 0o755); err != nil {
-			return "", err
-		}
-		if err := os.WriteFile(s.vdlPath(tenant, cluster), []byte(vdlText), 0o644); err != nil {
-			return "", err
-		}
-		if err := writeWaveManifest(s.wavesPath(tenant, cluster), s.cfg.WaveSize, refs); err != nil {
-			return "", err
-		}
-		jw, err = journal.CreateScoped(s.journalPath(tenant, cluster), wfScope(tenant, cluster))
-		if err != nil {
-			return "", err
-		}
-		defer func() {
-			if errors.Is(retErr, ErrPreempted) {
-				_ = jw.Append(journal.Record{Kind: journal.KindPreempted,
-					Detail: "lease revoked; checkpoint-stopped at event boundary"})
-			}
-			if cerr := jw.Close(); cerr != nil && retErr == nil {
-				retErr = fmt.Errorf("webservice: closing journal: %w", cerr)
-			}
-		}()
-		if err := jw.Append(journal.Record{
-			Kind: journal.KindBegin,
-			Detail: fmt.Sprintf("cluster=%s seed=%d waves=%d jobs=%d",
-				cluster, seed, planner.Waves(), len(refs)),
-		}); err != nil {
-			return "", err
-		}
-		opts.Journal = journal.Sink(jw)
-		if s.cfg.CrashAfterEvents > 0 {
-			opts.Journal = &journal.CrashSink{Sink: jw, After: s.cfg.CrashAfterEvents}
-		}
-		if s.cfg.WrapJournal != nil {
-			opts.Journal = s.cfg.WrapJournal(tenant, cluster, opts.Journal)
-		}
-	}
-
-	out, err := s.runWaves(planner, refs, cat, seed, stats, opts, lease, tenant, cluster, onProgress)
-	if err != nil {
-		return "", err
-	}
-	if err := jw.Append(journal.Record{Kind: journal.KindEnd, Detail: "output=" + out}); err != nil {
-		return "", err
-	}
-	return out, nil
-}
-
-// resumeWaves finishes a killed survey-scale run: the manifest restores the
-// exact wave decomposition, the journal's intact prefix restores completed
-// nodes, and RLS reduction prunes whole jobs whose outputs were already
-// registered — each replanned wave shrinks to its unfinished remainder. The
-// output is byte-identical to what the uninterrupted run would have produced.
-func (s *Service) resumeWaves(ctx context.Context, lease *fabric.Lease, cluster, tenant string,
-	stats *RunStats, onProgress func(done, total int)) (_ string, retErr error) {
-	outLFN := outputLFN(cluster)
-
-	waveSize, refs, err := readWaveManifest(s.wavesPath(tenant, cluster))
-	if err != nil {
-		return "", fmt.Errorf("webservice: resume %s: %w", cluster, err)
-	}
-	vdlText, err := os.ReadFile(s.vdlPath(tenant, cluster))
-	if err != nil {
-		return "", fmt.Errorf("webservice: resume %s: %w", cluster, err)
-	}
-	cat, err := vdl.Parse(string(vdlText))
-	if err != nil {
-		return "", fmt.Errorf("webservice: resume %s: saved VDL invalid: %w", cluster, err)
-	}
-
-	jw, recs, err := journal.OpenAppendScoped(s.journalPath(tenant, cluster), wfScope(tenant, cluster))
-	if err != nil {
-		return "", fmt.Errorf("webservice: resume %s: %w", cluster, err)
-	}
-	defer func() {
-		if errors.Is(retErr, ErrPreempted) {
-			_ = jw.Append(journal.Record{Kind: journal.KindPreempted,
-				Detail: "lease revoked; checkpoint-stopped at event boundary"})
-		}
-		if cerr := jw.Close(); cerr != nil && retErr == nil {
-			retErr = fmt.Errorf("webservice: closing journal: %w", cerr)
-		}
-	}()
-	if _, ended := journal.Ended(recs); ended && s.cfg.RLS.Exists(outLFN) {
-		stats.ReusedOutput = true
-		return outLFN, nil
-	}
-
-	stats.Galaxies = len(refs)
-	seed := s.requestSeed(cluster)
-	planner, err := pegasus.NewWavePlanner(waveSourceFor(refs, cluster), s.planConfig(), waveSize, seed)
-	if err != nil {
-		return "", err
-	}
-
-	opts := dagman.Options{
-		MaxRetries:    s.cfg.MaxRetries,
-		ClusterSize:   s.cfg.ClusterSize,
-		MaxInFlightFn: lease.JobAllowance,
-		Completed:     journal.CompletedNodes(recs),
-		Check:         abortCheck(ctx, lease),
-		Journal:       journal.Sink(jw),
-	}
-	if s.cfg.CrashAfterEvents > 0 {
-		opts.Journal = &journal.CrashSink{Sink: jw, After: s.cfg.CrashAfterEvents}
-	}
-	if s.cfg.WrapJournal != nil {
-		opts.Journal = s.cfg.WrapJournal(tenant, cluster, opts.Journal)
-	}
-	if s.cfg.RetryPolicy != nil {
-		opts.RetryPolicy = s.cfg.RetryPolicy.DAGManPolicy()
-	}
-
-	out, err := s.runWaves(planner, refs, cat, seed, stats, opts, lease, tenant, cluster, onProgress)
-	if err != nil {
-		return "", err
-	}
-	if err := jw.Append(journal.Record{Kind: journal.KindEnd, Detail: "output=" + out}); err != nil {
-		return "", err
-	}
-	return out, nil
-}
-
-// runWaves is the execution engine computeWaves and resumeWaves share: stage
-// one wave's images, plan it, release it, aggregate its accounting, repeat.
-// Progress reporting grows its total as waves are planned (the concrete node
-// count of a wave is unknown until its plan exists).
-func (s *Service) runWaves(planner *pegasus.WavePlanner, refs []imageRef, cat *vdl.Catalog,
-	seed int64, stats *RunStats, opts dagman.Options, lease *fabric.Lease,
-	tenant, cluster string, onProgress func(done, total int)) (string, error) {
-	outLFN := outputLFN(cluster)
-	done, total := 0, 0
-	if onProgress != nil {
-		onProgress(0, total)
-	}
-	opts.Monitor = func(e dagman.Event) {
-		switch e.Kind {
-		case dagman.EventRetried:
-			stats.Retries++
-		case dagman.EventCompleted, dagman.EventRestored:
-			done++
-			if onProgress != nil {
-				onProgress(done, total)
-			}
-		}
-	}
-
+// waveNext is the graph source of a survey-scale leg: instead of staging
+// every image and planning one monolithic concrete DAG, the request is cut
+// into waves. Each wave stages only its own images, plans through the
+// ordinary Pegasus pipeline (on a resumed leg, RLS reduction shrinks it to
+// its unfinished remainder), and is discarded once executed, before the next
+// wave is planned — peak image-staging and planner/scheduler memory are
+// bounded by the wave. The final wave runs the concatenating job at the
+// deterministic collector site the leaf waves delivered their results to,
+// producing output bytes identical to the classic path.
+func (s *Service) waveNext(planner *pegasus.WavePlanner, refs []imageRef, labels *runLabels,
+	stats *RunStats) func(int) (*dag.Graph, error) {
 	// evict reclaims a completed leaf wave's staged cutouts: once a wave's
 	// derived outputs are registered in the RLS its input images are dead
 	// weight, so the store's peak footprint stays bounded by one wave
@@ -309,9 +121,7 @@ func (s *Service) runWaves(planner *pegasus.WavePlanner, refs []imageRef, cat *v
 			}
 		}
 	}
-
-	labels := newRunLabels(tenant, cluster)
-	next := func(w int) (*dag.Graph, error) {
+	return func(w int) (*dag.Graph, error) {
 		// Waves release sequentially: wave w-1 has completed (and
 		// registered its outputs) by the time wave w is staged — no Run
 		// bodies execute while the wave label is rebuilt here.
@@ -333,48 +143,7 @@ func (s *Service) runWaves(planner *pegasus.WavePlanner, refs []imageRef, cat *v
 		if err != nil {
 			return nil, err
 		}
-		s.replicas.Prime(plan.Replicas)
-		ps := plan.Stats()
-		stats.ComputeJobs += ps.ComputeJobs
-		stats.PrunedJobs += ps.PrunedJobs
-		stats.TransferNodes += ps.TransferNodes
-		stats.RegisterNodes += ps.RegisterNodes
-		stats.RLSRoundTrips += plan.RLSRoundTrips
-		stats.PlannedBytesMoved += plan.EstBytesMoved
-		total += plan.Concrete.Len()
-		if onProgress != nil {
-			onProgress(done, total)
-		}
+		s.primePlan(plan, stats)
 		return plan.Concrete, nil
 	}
-
-	var runMu sync.Mutex
-	runner := s.runner(cat, rand.New(rand.NewSource(seed+1)), stats, &runMu, labels)
-	ws, err := dagman.ExecuteWaves(next, runner, s.simFactory(lease, tenant, cluster), opts, s.cfg.RescueRounds)
-	if ws != nil {
-		stats.Waves = ws.Waves
-		stats.MaxWaveNodes = ws.MaxWaveNodes
-		stats.Makespan = ws.Makespan
-		stats.RestoredNodes = ws.Restored
-		stats.ScheduleEvents = ws.ScheduleEvents
-		stats.ClusteredTasks = ws.ClusteredTasks
-		stats.ClusteredNodes = ws.ClusteredNodes
-	}
-	if err != nil {
-		var we *dagman.WaveError
-		if errors.As(err, &we) {
-			if s.cfg.JournalDir != "" {
-				if rerr := dagman.WriteRescueFile(s.rescuePath(tenant, cluster), we.Graph, we.Report); rerr != nil {
-					return "", rerr
-				}
-			}
-			return "", fmt.Errorf("webservice: workflow failed: %d failed, %d unrun",
-				we.Report.Failed, we.Report.Unrun)
-		}
-		return "", err
-	}
-	if !s.cfg.RLS.Exists(outLFN) {
-		return "", fmt.Errorf("webservice: workflow completed but %q not registered", outLFN)
-	}
-	return outLFN, nil
 }

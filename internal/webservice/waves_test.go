@@ -145,9 +145,12 @@ func TestWaveKillAndResumeByteIdentity(t *testing.T) {
 		if err != nil {
 			t.Fatalf("kill point %d: reopen: %v", k, err)
 		}
-		out, _, err := svc2.Resume("COMA")
+		out, stats, err := svc2.Resume("COMA")
 		if err != nil {
 			t.Fatalf("kill point %d: resume: %v", k, err)
+		}
+		if stats.Galaxies != nGalaxies {
+			t.Errorf("kill point %d: resumed stats count %d galaxies, want %d", k, stats.Galaxies, nGalaxies)
 		}
 		if out != "COMA.vot" {
 			t.Fatalf("kill point %d: resume output %q", k, out)
