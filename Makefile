@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint racecheck chaos bench emit-bench recovery fuzz tenants survey soak hotbench benchmod verify
+.PHONY: build test vet lint racecheck chaos bench recovery fuzz tenants survey soak hotbench benchmod verify
 
 build:
 	$(GO) build ./...
@@ -33,17 +33,14 @@ test:
 chaos:
 	$(GO) test -race -run 'TestChaos' -v .
 
-# Every benchmark, including the parallel-execution and warm-cache suites;
-# BENCH=<regex> narrows the run (e.g. make bench BENCH=ParallelLeafJobs).
-# The checked-in BENCH_pr*.json snapshots are never rewritten here — only by
-# the opt-in emitters behind EMIT_BENCH (make emit-bench).
+# Every Go microbenchmark, including the parallel-execution and warm-cache
+# suites; BENCH=<regex> narrows the run (e.g. make bench BENCH=ParallelLeafJobs).
+# These time components in isolation and write no files; the end-to-end
+# numbers (host record, repeats, per-layer rows) come from the repo benchmark,
+# bash perfbench/run.sh, declared in BENCHMARK.json.
 BENCH ?= .
 bench:
 	$(GO) test -run XXX -bench '$(BENCH)' -benchmem .
-
-# Regenerate the checked-in BENCH_pr*.json snapshots.
-emit-bench:
-	EMIT_BENCH=1 $(GO) test -run 'TestEmitBench' -v .
 
 # Journal-replay idempotence: the kill-and-resume sweep and corruption
 # recovery, race-enabled, plus the cmd-level sweep through the full testbed.

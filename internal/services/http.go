@@ -308,57 +308,12 @@ func ConeSearchPaged(hc *http.Client, base string, pos wcs.SkyCoord, sr float64,
 	}
 }
 
-// ConeSearchRows streams a paged Cone Search row by row: fn sees the table
-// metadata plus each row's cells, in the same global order ConeSearch
-// returns, without the client ever holding a page table in memory. cells is
-// only valid for the duration of the call. pageSize <= 0 streams one
-// unpaged response.
-func ConeSearchRows(hc *http.Client, base string, pos wcs.SkyCoord, sr float64, pageSize int, fn func(meta *votable.TableMeta, cells []string) error) error {
-	if pageSize <= 0 {
-		u := fmt.Sprintf("%s?RA=%s&DEC=%s&SR=%s", base,
-			url.QueryEscape(votable.FormatFloat(pos.RA)),
-			url.QueryEscape(votable.FormatFloat(pos.Dec)),
-			url.QueryEscape(votable.FormatFloat(sr)))
-		_, err := getVOTableRows(hc, u, fn)
-		return err
-	}
-	for offset := 0; ; offset += pageSize {
-		n, err := getVOTableRows(hc, conePageURL(base, pos, sr, offset, pageSize), fn)
-		if err != nil {
-			return err
-		}
-		if n < pageSize {
-			return nil
-		}
-	}
-}
-
 func conePageURL(base string, pos wcs.SkyCoord, sr float64, offset, maxrec int) string {
 	return fmt.Sprintf("%s?RA=%s&DEC=%s&SR=%s&MAXREC=%d&OFFSET=%d", base,
 		url.QueryEscape(votable.FormatFloat(pos.RA)),
 		url.QueryEscape(votable.FormatFloat(pos.Dec)),
 		url.QueryEscape(votable.FormatFloat(sr)),
 		maxrec, offset)
-}
-
-// getVOTableRows fetches u and decodes the response incrementally through
-// votable.DecodeRows, returning the number of rows seen.
-func getVOTableRows(hc *http.Client, u string, fn func(meta *votable.TableMeta, cells []string) error) (int, error) {
-	resp, err := hc.Get(u)
-	if err != nil {
-		return 0, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		body, _ := io.ReadAll(io.LimitReader(resp.Body, 256))
-		return 0, fmt.Errorf("services: GET %s: status %d: %s", u, resp.StatusCode, body)
-	}
-	n := 0
-	err = votable.DecodeRows(resp.Body, nil, func(meta *votable.TableMeta, cells []string) error {
-		n++
-		return fn(meta, cells)
-	})
-	return n, err
 }
 
 // SIARecord is one parsed row of an SIA response.

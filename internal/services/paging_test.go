@@ -89,39 +89,6 @@ func TestConeSearchPageBounded(t *testing.T) {
 	}
 }
 
-// TestConeSearchRowsStreams checks the row-callback paged client against
-// the in-memory table: same metadata, same rows, same order.
-func TestConeSearchRowsStreams(t *testing.T) {
-	a := testArchive(t)
-	srv := httptest.NewServer(a.Handler())
-	defer srv.Close()
-	hc := srv.Client()
-	pos := wcs.New(195, 28)
-
-	want, err := ConeSearch(hc, srv.URL+"/cone", pos, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, pageSize := range []int{0, 1, 7, want.NumRows() + 5} {
-		var rows [][]string
-		var fields []votable.Field
-		err := ConeSearchRows(hc, srv.URL+"/cone", pos, 1, pageSize, func(meta *votable.TableMeta, cells []string) error {
-			fields = meta.Fields
-			rows = append(rows, append([]string(nil), cells...))
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("page size %d: %v", pageSize, err)
-		}
-		if !reflect.DeepEqual(rows, want.Rows) {
-			t.Fatalf("page size %d: streamed rows diverge from table", pageSize)
-		}
-		if !reflect.DeepEqual(fields, want.Fields) {
-			t.Fatalf("page size %d: streamed metadata diverges", pageSize)
-		}
-	}
-}
-
 // TestSIAQueryPagedMatchesUnpaged covers both SIA endpoints: the cutout
 // service (one row per galaxy — the big one) and the field-image listing.
 func TestSIAQueryPagedMatchesUnpaged(t *testing.T) {

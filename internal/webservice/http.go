@@ -126,16 +126,7 @@ func (s *Service) Handler() http.Handler {
 			Priority: priority,
 		})
 		if err != nil {
-			// Overload shedding is deterministic and typed: tell the client
-			// whether its own quota (429) or the fleet (503) refused it, and
-			// when to come back.
-			if shed, ok := fabric.AsShed(err); ok {
-				secs := int((shed.RetryAfter + time.Second - 1) / time.Second)
-				if secs < 1 {
-					secs = 1
-				}
-				w.Header().Set("Retry-After", strconv.Itoa(secs))
-				http.Error(w, err.Error(), shed.HTTPStatus)
+			if writeShed(w, err) {
 				return
 			}
 			http.Error(w, err.Error(), http.StatusBadRequest)
@@ -180,13 +171,7 @@ func (s *Service) Handler() http.Handler {
 			return
 		}
 		if err := s.Requeue(req.URL.Query().Get("id")); err != nil {
-			if shed, ok := fabric.AsShed(err); ok {
-				secs := int((shed.RetryAfter + time.Second - 1) / time.Second)
-				if secs < 1 {
-					secs = 1
-				}
-				w.Header().Set("Retry-After", strconv.Itoa(secs))
-				http.Error(w, err.Error(), shed.HTTPStatus)
+			if writeShed(w, err) {
 				return
 			}
 			if errors.Is(err, ErrNotFound) {
@@ -215,4 +200,21 @@ func (s *Service) Handler() http.Handler {
 	})
 
 	return mux
+}
+
+// writeShed answers a fabric shed, reporting whether err was one. Overload
+// shedding is deterministic and typed: tell the client whether its own
+// quota (429) or the fleet (503) refused it, and when to come back.
+func writeShed(w http.ResponseWriter, err error) bool {
+	shed, ok := fabric.AsShed(err)
+	if !ok {
+		return false
+	}
+	secs := int((shed.RetryAfter + time.Second - 1) / time.Second)
+	if secs < 1 {
+		secs = 1
+	}
+	w.Header().Set("Retry-After", strconv.Itoa(secs))
+	http.Error(w, err.Error(), shed.HTTPStatus)
+	return true
 }

@@ -137,16 +137,14 @@ func (s *Service) rederiveGalMorph(cat *vdl.Catalog, dv *vdl.Derivation, stats *
 	if err != nil {
 		return nil, err
 	}
-	res := measureGalaxy(strings.TrimSuffix(inputs[0], ".fit"), raw, morphConfigFromDV(dv), s.cfg.StrictFaults)
-	if res == nil {
-		return nil, fmt.Errorf("webservice: rederive %s: measurement failed under strict faults", dv.Name)
+	ar := arena.Get()
+	p, err := morphology.MeasureRaw(ar, raw, morphConfigFromDV(dv))
+	arena.Put(ar)
+	res, err := s.galMorphResult(strings.TrimSuffix(inputs[0], ".fit"), p, err, stats, mu)
+	if err != nil {
+		return nil, fmt.Errorf("webservice: rederive %s: %w", dv.Name, err)
 	}
-	if !res.Valid {
-		mu.Lock()
-		stats.InvalidRows++
-		mu.Unlock()
-	}
-	return encodeResult(*res), nil
+	return encodeResult(res), nil
 }
 
 // rederiveConcat re-assembles the output VOTable from the per-galaxy results
@@ -159,31 +157,6 @@ func (s *Service) rederiveConcat(cat *vdl.Catalog, dv *vdl.Derivation, stats *Ru
 	return concatResults(strings.TrimSuffix(outputs[0], ".vot"), dv.InputLFNs(), func(lfn string) ([]byte, error) {
 		return s.inputBytes(cat, lfn, stats, mu)
 	})
-}
-
-// measureGalaxy runs the deterministic morphology measurement on raw image
-// bytes, returning the result row. Under strict faults a failed measurement
-// returns nil (the caller must fail); otherwise failures become
-// validity-flagged rows, exactly as in the live galMorph job.
-func measureGalaxy(galaxyID string, raw []byte, mcfg morphology.Config, strict bool) *GalMorphResult {
-	res := GalMorphResult{ID: galaxyID}
-	ar := arena.Get()
-	p, err := morphology.MeasureRaw(ar, raw, mcfg)
-	arena.Put(ar)
-	if err == nil && p.Valid {
-		res.Valid = true
-		res.SurfaceBrightness = p.SurfaceBrightness
-		res.Concentration = p.Concentration
-		res.Asymmetry = p.Asymmetry
-	}
-	if err != nil {
-		if strict {
-			return nil
-		}
-		res.Valid = false
-		res.Reason = err.Error()
-	}
-	return &res
 }
 
 // verifiedGet reads lfn from store for a consuming leaf job, verifying

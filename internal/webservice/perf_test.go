@@ -85,6 +85,7 @@ func TestClusteringReducesScheduleEventsAndMakespan(t *testing.T) {
 		return stats
 	}
 	serial := run(1)
+	mid := run(4)
 	clustered := run(16)
 	if clustered.ScheduleEvents >= serial.ScheduleEvents {
 		t.Errorf("clustered run used %d schedule events, serial %d — no reduction",
@@ -96,6 +97,15 @@ func TestClusteringReducesScheduleEventsAndMakespan(t *testing.T) {
 	}
 	if serial.ClusteredTasks != 0 {
 		t.Errorf("serial run reported %d clustered tasks", serial.ClusteredTasks)
+	}
+	// The sweep is monotone: a batch of 4 lands strictly between the two.
+	if mid.ScheduleEvents >= serial.ScheduleEvents || mid.ScheduleEvents <= clustered.ScheduleEvents {
+		t.Errorf("schedule events not monotone in cluster size: 1→%d, 4→%d, 16→%d",
+			serial.ScheduleEvents, mid.ScheduleEvents, clustered.ScheduleEvents)
+	}
+	if mid.Makespan >= serial.Makespan || mid.Makespan <= clustered.Makespan {
+		t.Errorf("makespan not monotone in cluster size: 1→%v, 4→%v, 16→%v",
+			serial.Makespan, mid.Makespan, clustered.Makespan)
 	}
 }
 

@@ -368,27 +368,9 @@ func (s *Service) galMorphSpec(n *dag.Node, cat *vdl.Catalog, rng *rand.Rand, st
 				mu.Unlock()
 			}
 
-			res := GalMorphResult{ID: galaxyID}
-			if err == nil && p.Valid {
-				res.Valid = true
-				res.SurfaceBrightness = p.SurfaceBrightness
-				res.Concentration = p.Concentration
-				res.Asymmetry = p.Asymmetry
-			}
+			res, err := s.galMorphResult(galaxyID, p, err, stats, mu)
 			if err != nil {
-				// The paper's fault-tolerance design (§4.3.1 item 4): flag
-				// the galaxy invalid instead of failing the workflow —
-				// unless the strict-faults ablation asks for the rejected
-				// alternative (in which case the memo is disabled and err
-				// is always the live measurement error).
-				if s.cfg.StrictFaults {
-					return err
-				}
-				res.Valid = false
-				res.Reason = err.Error()
-				mu.Lock()
-				stats.InvalidRows++
-				mu.Unlock()
+				return err
 			}
 			// Store.Put copies its argument, so handing it arena-backed
 			// bytes is safe; appendResult renders byte-identically to the
@@ -396,6 +378,33 @@ func (s *Service) galMorphSpec(n *dag.Node, cat *vdl.Catalog, rng *rand.Rand, st
 			return store.Put(outputs[0], appendResult(ar.Bytes(192)[:0], res))
 		},
 	}
+}
+
+// galMorphResult turns one galaxy's measurement into its result row, for
+// the live galMorph job and for re-derivation alike. The paper's
+// fault-tolerance design (§4.3.1 item 4) flags a failed galaxy invalid
+// instead of failing the workflow — unless the strict-faults ablation asks
+// for the rejected alternative, when the measurement error is returned (the
+// memo is disabled then, so err is always the live measurement error).
+func (s *Service) galMorphResult(galaxyID string, p morphology.Params, err error, stats *RunStats, mu *sync.Mutex) (GalMorphResult, error) {
+	res := GalMorphResult{ID: galaxyID}
+	if err != nil {
+		if s.cfg.StrictFaults {
+			return res, err
+		}
+		res.Reason = err.Error()
+		mu.Lock()
+		stats.InvalidRows++
+		mu.Unlock()
+		return res, nil
+	}
+	if p.Valid {
+		res.Valid = true
+		res.SurfaceBrightness = p.SurfaceBrightness
+		res.Concentration = p.Concentration
+		res.Asymmetry = p.Asymmetry
+	}
+	return res, nil
 }
 
 // concatSpec assembles the per-galaxy results into the output VOTable. Every
